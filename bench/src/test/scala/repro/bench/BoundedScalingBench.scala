@@ -27,35 +27,30 @@ class BoundedScalingBench extends SparkSpec {
     println(f"${"SF"}%6s ${"bounded #data Z"}%16s ${"bounded comm Z"}%15s " +
             f"${"bounded #data base"}%19s ${"scan #data Z"}%13s")
     for ((sf, (bb, bz), (_, uz)) <- runs) {
-      println(f"$sf%6.2f ${bz.values}%16d ${bz.commMB}%15.4f ${bb.values}%19d ${uz.values}%13d")
+      println(f"$sf%6.2f ${bz.metrics.valuesAccessed}%16d ${bz.metrics.commMB}%15.4f " +
+              f"${bb.metrics.valuesAccessed}%19d ${uz.metrics.valuesAccessed}%13d")
     }
   }
 
   test("Exp-2 shape: bounded-query #data is flat in |D| (paper: 0.7s at 1GB and 16GB)") {
-    val vals = runs.map { case (_, (_, z), _) => z.values }
+    val vals = runs.map { case (_, (_, z), _) => z.metrics.valuesAccessed }
     assert(vals.distinct.size == 1, s"bounded #data not flat: $vals")
-    val gets = runs.map { case (_, (_, z), _) => z.gets }
+    val gets = runs.map { case (_, (_, z), _) => z.metrics.gets }
     assert(gets.distinct.size == 1, s"bounded #get not flat: $gets")
   }
 
   test("Exp-2 shape: the baseline for the same query grows linearly") {
-    val vals = runs.map { case (_, (b, _), _) => b.values }
+    val vals = runs.map { case (_, (b, _), _) => b.metrics.valuesAccessed }
     assert(vals(1) > vals(0) * 1.5 && vals(2) > vals(1) * 1.5, s"baseline not growing: $vals")
   }
 
   test("Exp-2 shape: non-scan-free Zidian #data grows with |D|") {
-    val vals = runs.map { case (_, _, (z, _)) => z }.map(_.values)
+    val vals = runs.map { case (_, _, (z, _)) => z.metrics.valuesAccessed }
     assert(vals(2) > vals(0), s"scan query #data should grow: $vals")
   }
 
   test("Exp-2 shape: bounded-query simulated time is indifferent to |D|") {
-    val ts = runs.map { case (_, (_, z), _) => Backend.SoH.storageSeconds(metricsOf(z), 8) }
+    val ts = runs.map { case (_, (_, z), _) => Backend.SoH.storageSeconds(z.metrics, 8) }
     assert(ts.max - ts.min < 1e-6, s"bounded storage time not flat: $ts")
-  }
-
-  private def metricsOf(r: repro.benchutil.QueryRun): repro.kv.KVMetrics = {
-    val m = new repro.kv.KVMetrics
-    m.gets = r.gets; m.valuesAccessed = r.values
-    m
   }
 }

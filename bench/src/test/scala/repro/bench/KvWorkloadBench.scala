@@ -29,27 +29,11 @@ class KvWorkloadBench extends SparkSpec {
   private def tpmsWrite(m: KVMetrics, inserted: Long, workers: Int): Double =
     inserted / (Backend.SoH.storageSeconds(m, workers) * 1000.0)
 
-  private def readTaaV: KVMetrics = {
-    val m = new KVMetrics
-    m.addGets(NKeys * deg); m.addValues(NKeys * deg * arity)
-    m
-  }
-  private def readBaaV: KVMetrics = {
-    val m = new KVMetrics
-    m.addGets(NKeys); m.addValues(NKeys * deg * arity)
-    m
-  }
-  private def writeTaaV: KVMetrics = {
-    val m = new KVMetrics
-    m.addGets(NKeys); m.addValues(NKeys * arity)
-    m
-  }
-  private def writeBaaV: KVMetrics = {
-    // Read-modify-write of the target block: deg tuples touched per put.
-    val m = new KVMetrics
-    m.addGets(NKeys); m.addValues(NKeys * deg * arity)
-    m
-  }
+  private def readTaaV = KVMetrics(gets = NKeys * deg, valuesAccessed = NKeys * deg * arity)
+  private def readBaaV = KVMetrics(gets = NKeys, valuesAccessed = NKeys * deg * arity)
+  private def writeTaaV = KVMetrics(gets = NKeys, valuesAccessed = NKeys * arity)
+  // Read-modify-write of the target block: deg tuples touched per put.
+  private def writeBaaV = KVMetrics(gets = NKeys, valuesAccessed = NKeys * deg * arity)
 
   test("Exp-4: print read/write throughput TaaV vs BaaV") {
     println()

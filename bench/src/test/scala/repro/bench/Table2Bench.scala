@@ -25,20 +25,20 @@ class Table2Bench extends SparkSpec {
 
   test("Table 2 shape: Zidian slashes get invocations (paper: ~2000x)") {
     val (base, zid) = runs
-    assert(zid.gets * 100 <= base.gets,
-      s"gets ${base.gets} -> ${zid.gets} is less than 100x")
+    val (b, z) = (base.metrics, zid.metrics)
+    assert(z.gets * 100 <= b.gets, s"gets ${b.gets} -> ${z.gets} is less than 100x")
   }
 
   test("Table 2 shape: Zidian slashes #data (paper: ~62x)") {
     val (base, zid) = runs
-    assert(zid.values * 10 <= base.values,
-      s"#data ${base.values} -> ${zid.values} is less than 10x")
+    val (b, z) = (base.metrics.valuesAccessed, zid.metrics.valuesAccessed)
+    assert(z * 10 <= b, s"#data $b -> $z is less than 10x")
   }
 
   test("Table 2 shape: Zidian slashes communication (paper: ~28x)") {
     val (base, zid) = runs
-    assert(zid.commMB * 5 <= base.commMB,
-      s"comm ${base.commMB} -> ${zid.commMB} is less than 5x")
+    val (b, z) = (base.metrics.commMB, zid.metrics.commMB)
+    assert(z * 5 <= b, s"comm $b -> $z is less than 5x")
   }
 
   test("Table 2 shape: Zidian wins on total time where storage dominates") {
@@ -62,7 +62,7 @@ class Table2Bench extends SparkSpec {
 
   test("Table 2 shape: Q1 is evaluated scan-free by Zidian") {
     val (_, zid) = runs
-    assert(zid.scanFree && zid.scans == 0)
+    assert(zid.scanFree && zid.metrics.scans == 0)
   }
 
   test("Table 2 shape: baseline backend ordering is SoK < SoC < SoH") {

@@ -46,20 +46,20 @@ class Table3Bench extends SparkSpec {
 
   test("Table 3 shape: scan-free queries never scan and access strictly less data") {
     for (ds <- Workloads.all.map(_.name); (wq, base, zid) <- results(ds) if wq.scanFree) {
-      assert(zid.scans == 0, s"$ds ${wq.q.name}")
-      assert(zid.values < base.values, s"$ds ${wq.q.name} #data")
+      val (z, b) = (zid.metrics.valuesAccessed, base.metrics.valuesAccessed)
+      assert(zid.metrics.scans == 0, s"$ds ${wq.q.name}")
+      assert(z < b, s"$ds ${wq.q.name} #data")
       // Bounded (point-seeded) queries cut #data by orders of magnitude;
       // uniform TPC-H chains fetch larger fractions (the paper's §9
       // observation on skew-free data).
       if (wq.bounded)
-        assert(zid.values <= 64 || zid.values * 1000 <= base.values,
-               s"$ds ${wq.q.name} bounded #data: ${zid.values} vs ${base.values}")
+        assert(z <= 64 || z * 1000 <= b, s"$ds ${wq.q.name} bounded #data: $z vs $b")
     }
   }
 
   test("Table 3 shape: Zidian reduces communication on every query") {
     for (ds <- Workloads.all.map(_.name); (wq, base, zid) <- results(ds)) {
-      assert(zid.commMB <= base.commMB + 1e-9, s"$ds ${wq.q.name}")
+      assert(zid.metrics.commMB <= base.metrics.commMB + 1e-9, s"$ds ${wq.q.name}")
     }
   }
 
@@ -70,8 +70,8 @@ class Table3Bench extends SparkSpec {
     def storage(ds: String, mode: String): Double = {
       val rs = results(ds).filter { case (wq, _, _) => wq.scanFree }
       rs.map { case (_, base, zid) =>
-        val r = if (mode == "base") base else zid
-        Backend.SoH.getOverheadUs * r.gets + Backend.SoH.perValueUs * r.values
+        val m = (if (mode == "base") base else zid).metrics
+        Backend.SoH.getOverheadUs * m.gets + Backend.SoH.perValueUs * m.valuesAccessed
       }.sum
     }
     val motCut  = storage("MOT", mode = "base") / math.max(storage("MOT", mode = "zid"), 1e-9)

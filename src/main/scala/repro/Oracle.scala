@@ -17,21 +17,27 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
+  /** Canonical form of a result for comparison: each row's cells in
+    * column-name order, numerics rounded to 6 decimals, NULL as `∅`, and
+    * the rows sorted cell by cell — independent of column and row order.
+    */
+  def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+    val idx = cols.sorted.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case null                      => "∅"
+          case d: Double                 => f"$d%.6f"
+          case f: Float                  => f"${f.toDouble}%.6f"
+          case bd: java.math.BigDecimal  => f"${bd.doubleValue}%.6f"
+          case bd: scala.math.BigDecimal => f"${bd.doubleValue}%.6f"
+          case x                         => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
+
+  def canon(df: DataFrame): Seq[Seq[String]] = canon(df.collect().toSeq, df.columns.toSeq)
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
@@ -65,7 +71,7 @@ object Oracle {
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
-      val got = canon(sparkDf.collect().toSeq, sCols)
+      val got = canon(sparkDf)
       val exp = canon(dRows, dCols)
       require(got == exp,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +

@@ -13,10 +13,11 @@ import repro.kv.{KVMetrics, TaaVStore}
 final class SqlOverNoSql(cat: Catalog, spark: SparkSession) {
 
   def answer(q: Query, taav: TaaVStore): (DataFrame, KVMetrics) = {
-    val m = new KVMetrics
-    for (rel <- q.atoms.map(_.rel).distinct) {
-      taav.scan(rel, m).createOrReplaceTempView(rel)
+    val scanned = q.atoms.map(_.rel).distinct.map { rel =>
+      val (df, m) = taav.scan(rel)
+      df.createOrReplaceTempView(rel)
+      m
     }
-    (spark.sql(SqlGen.toSql(q, cat)), m)
+    (spark.sql(SqlGen.toSql(q, cat)), scanned.foldLeft(KVMetrics.zero)(_ + _))
   }
 }

@@ -1,6 +1,7 @@
 package repro.benchutil
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.Oracle
 import repro.baseline.SqlOverNoSql
 import repro.data.{Dataset, WorkQuery}
 import repro.kv.{BaaVStore, Backend, KVMetrics, TaaVStore}
@@ -16,10 +17,7 @@ final case class QueryRun(
     query: String,
     mode: String, // "baseline" or "zidian"
     wallSec: Double,
-    gets: Long,
-    values: Long,
-    commMB: Double,
-    scans: Long,
+    metrics: KVMetrics,
     scanFree: Boolean,
     bounded: Boolean,
     rows: Long,
@@ -28,14 +26,7 @@ final case class QueryRun(
     * plus the modeled storage-access time.
     */
   def totalSec(backend: Backend, workers: Int = Backend.DefaultWorkers): Double =
-    wallSec + backend.storageSeconds(metricsView, workers)
-
-  private def metricsView: KVMetrics = {
-    val m = new KVMetrics
-    m.gets = gets; m.valuesAccessed = values
-    m.commCells = (commMB * 1e6 / 8.0).toLong
-    m
-  }
+    wallSec + backend.storageSeconds(metrics, workers)
 }
 
 /** A dataset loaded into both stores, with the two evaluation stacks. */
@@ -71,24 +62,25 @@ object Harness {
       new SqlOverNoSql(ds.catalog, spark))
   }
 
-  /** Evaluate one query in one mode, timing the dataflow to completion. */
+  /** Evaluate one query in one mode, timing the dataflow to completion.
+    * Zidian's intermediate caches are released once the result is counted.
+    */
   def run(env: Env, wq: WorkQuery, mode: String): QueryRun = {
     val t0 = System.nanoTime()
-    val (df, m, sfree, bounded) = mode match {
+    val (df, m, sfree, bounded, exec) = mode match {
       case "baseline" =>
         val (df, m) = env.baseline.answer(wq.q, env.taav)
-        (df, m, false, false)
+        (df, m, false, false, None)
       case "zidian" =>
         val ans = env.zidian.answer(wq.q, env.baav, env.taav, env.spark)
-        val r = (ans.df, ans.metrics, ans.plan.scanFree,
-                 ans.decision.bounded.getOrElse(false))
-        r
+        (ans.df, ans.metrics, ans.plan.scanFree,
+         ans.decision.bounded.getOrElse(false), Some(ans.executor))
       case other => throw new IllegalArgumentException(s"bad mode $other")
     }
     val rows = df.count()
     val wall = (System.nanoTime() - t0) / 1e9
-    QueryRun(env.ds.name, wq.q.name, mode, wall, m.gets, m.valuesAccessed,
-             m.commMB, m.scans, sfree, bounded, rows)
+    exec.foreach(_.cleanup())
+    QueryRun(env.ds.name, wq.q.name, mode, wall, m, sfree, bounded, rows)
   }
 
   /** Run one query in both modes; `warm = true` adds one untimed warm-up
@@ -101,29 +93,12 @@ object Harness {
 
   // -------------------------------------------------------- result diffing
 
-  /** Canonical rows of a result (column-order and row-order independent;
-    * numerics normalized) — for cross-checking Zidian vs the baseline.
+  /** Canonical rows of a result ([[Oracle.canon]]), each joined into one
+    * string — for cross-checking Zidian vs the baseline.
     */
-  def canon(df: DataFrame): Seq[String] = {
-    val cols = df.columns.toSeq
-    val order = cols.sorted.map(cols.indexOf)
-    df.collect().toSeq
-      .map { r =>
-        order.map { i =>
-          r.get(i) match {
-            case null                         => "∅"
-            case d: Double                    => f"$d%.6f"
-            case f: Float                     => f"${f.toDouble}%.6f"
-            case bd: java.math.BigDecimal     => f"${bd.doubleValue}%.6f"
-            case bd: scala.math.BigDecimal    => f"${bd.doubleValue}%.6f"
-            case x                            => x.toString
-          }
-        }.mkString("|")
-      }
-      .sorted
-  }
+  def canon(df: DataFrame): Seq[String] = Oracle.canon(df).map(_.mkString("|"))
 
-  def sameResults(a: DataFrame, b: DataFrame): Boolean = canon(a) == canon(b)
+  def sameResults(a: DataFrame, b: DataFrame): Boolean = Oracle.canon(a) == Oracle.canon(b)
 
   // ---------------------------------------------------------- formatting
 

@@ -48,11 +48,11 @@ object Tables {
     }
     row("time(s)", (r, b) => Harness.fmtSec(r.totalSec(b)),
         paperTable2("time")("SoH"), paperTable2("time")("SoHZidian"))
-    row("#data", (r, _) => Harness.sci(r.values.toDouble),
+    row("#data", (r, _) => Harness.sci(r.metrics.valuesAccessed.toDouble),
         paperTable2("#data")("SoH"), paperTable2("#data")("SoHZidian"))
-    row("#get", (r, _) => Harness.sci(r.gets.toDouble),
+    row("#get", (r, _) => Harness.sci(r.metrics.gets.toDouble),
         paperTable2("#get")("SoH"), paperTable2("#get")("SoHZidian"))
-    row("comm(MB)", (r, _) => Harness.fmtSec(r.commMB),
+    row("comm(MB)", (r, _) => Harness.fmtSec(r.metrics.commMB),
         paperTable2("comm(MB)")("SoH"), paperTable2("comm(MB)")("SoHZidian"))
     sb.result()
   }
@@ -101,10 +101,11 @@ object Tables {
     sb ++= "\nPer-query detail (SoH total seconds):\n"
     for (ds <- Workloads.all.map(_.name); (wq, b, z) <- results(ds)) {
       val cls = if (wq.scanFree) (if (wq.bounded) "s.f.+bnd" else "s.f.") else "non-s.f."
+      val (bm, zm) = (b.metrics, z.metrics)
       sb ++= f"  ${ds}%-6s ${wq.q.name}%-10s $cls%-9s " +
         f"base=${b.totalSec(repro.kv.Backend.SoH)}%9.2fs zidian=${z.totalSec(repro.kv.Backend.SoH)}%8.2fs " +
-        f"gets ${b.gets}%9d->${z.gets}%7d  #data ${b.values}%10d->${z.values}%9d  " +
-        f"comm ${b.commMB}%8.2f->${z.commMB}%6.2fMB scans ${b.scans}%d->${z.scans}%d\n"
+        f"gets ${bm.gets}%9d->${zm.gets}%7d  #data ${bm.valuesAccessed}%10d->${zm.valuesAccessed}%9d  " +
+        f"comm ${bm.commMB}%8.2f->${zm.commMB}%6.2fMB scans ${bm.scans}%d->${zm.scans}%d\n"
     }
     sb.result()
   }

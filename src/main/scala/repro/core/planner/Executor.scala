@@ -22,10 +22,13 @@ final class Executor(
     cat: Catalog,
     baav: BaaVStore,
     taav: TaaVStore,
-    val metrics: KVMetrics = new KVMetrics,
 ) {
-  private val memo = mutable.Map.empty[(KPlan, String), DataFrame]
+  private val memo = mutable.Map.empty[(KPlan, Query), DataFrame]
   private val cachedFrames = mutable.Buffer.empty[DataFrame]
+  private var accessed = KVMetrics.zero
+
+  /** Storage access of every frame computed so far. */
+  def metrics: KVMetrics = accessed
 
   /** Unpersist intermediate caches created by extensions. */
   def cleanup(): Unit = {
@@ -53,7 +56,11 @@ final class Executor(
     * execute once).
     */
   def frame(p: KPlan, q: Query): DataFrame =
-    memo.getOrElseUpdate((p, q.name), compute(p, q))
+    memo.getOrElseUpdate((p, q), compute(p, q))
+
+  /** Rename an unqualified frame's columns `cols` to `alias__col`. */
+  private def qualify(df: DataFrame, alias: String, cols: Seq[String]): DataFrame =
+    df.select(cols.map(c => F.col(c).as(Attr(alias, c).field)): _*)
 
   private def compute(p: KPlan, q: Query): DataFrame = p match {
 
@@ -74,8 +81,6 @@ final class Executor(
       val keys = in.select(keyCols: _*).distinct().cache()
       cachedFrames += keys
       val nKeys = keys.count()
-      metrics.addGets(nKeys)
-      metrics.addComm(nKeys * kv.key.size)
       // (b) at the storage nodes, retrieve only the needed keyed blocks.
       val inst = baav(kv.name)
       val matched = inst.blocked.join(keys, kv.key.toSeq).cache()
@@ -85,27 +90,23 @@ final class Executor(
       val segs = counts.getLong(0)
       val fetchedTuples = if (counts.isNullAt(1)) 0L else counts.getLong(1)
       val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
-      metrics.addValues(fetchedCells)
-      metrics.addComm(fetchedCells)
+      accessed += KVMetrics(gets = nKeys, valuesAccessed = fetchedCells,
+                            commCells = nKeys * kv.key.size + fetchedCells)
       // (c) explode into alias-qualified rows and join back to the frontier.
-      val exploded = matched
-        .withColumn("__t", F.explode(F.col(KVInstance.BLOCK)))
-        .select(kv.key.map(c => F.col(c).as(Attr(alias, c).field)) ++
-          kv.value.map(c => F.col(s"__t.$c").as(Attr(alias, c).field)): _*)
+      val exploded = qualify(KVInstance.ofBlocked(kv, matched).flatten, alias, kv.attrs)
       val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
       joinFrames(in, exploded, joinPairs)
 
     case KScanKV(alias, kv) =>
       val inst = baav(kv.name)
-      metrics.addGets(inst.numBlocks)
-      metrics.addValues(inst.cells)
-      metrics.addComm(inst.cells)
-      metrics.kvScans += 1
-      inst.flatten.select(kv.attrs.map(c => F.col(c).as(Attr(alias, c).field)): _*)
+      accessed += KVMetrics(gets = inst.numBlocks, valuesAccessed = inst.cells,
+                            commCells = inst.cells, kvScans = 1)
+      qualify(inst.flatten, alias, kv.attrs)
 
     case KScanRel(alias, rel, cols) =>
-      val df = taav.scan(rel, metrics)
-      df.select(cols.map(c => F.col(c).as(Attr(alias, c).field)): _*)
+      val (df, m) = taav.scan(rel)
+      accessed += m
+      qualify(df, alias, cols)
 
     case KJoin(l, r, on) =>
       joinFrames(frame(l, q), frame(r, q), on.map { case (a, b) => (a, b) })

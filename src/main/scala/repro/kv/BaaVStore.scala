@@ -47,6 +47,8 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
   /** Compression (§8.2): re-encode every block as its distinct value
     * tuples, each attached with a multiplicity counter `__cnt`. The
     * relational version is recoverable exactly (see [[compressedFlatten]]).
+    *
+    * Library code: no query path uses compression yet.
     */
   def compressed: DataFrame = {
     val rows = flatten
@@ -57,7 +59,9 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
       .agg(F.collect_list(F.struct((schema.value :+ "__cnt").map(F.col): _*)).as(BLOCK))
   }
 
-  /** Cells stored under compression (counters included). */
+  /** Cells stored under compression (counters included). Library code: no
+    * query path uses it yet.
+    */
   def compressedCells: Long = {
     val c = compressed
     val tuples = c.agg(F.sum(F.size(F.col(BLOCK)))).head()
@@ -65,7 +69,9 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
     c.count() * schema.key.size + nTuples * (schema.value.size + 1)
   }
 
-  /** Expand a compressed instance back to its relational version. */
+  /** Expand a compressed instance back to its relational version. Library
+    * code: no query path uses it yet.
+    */
   def compressedFlatten: DataFrame = {
     val exploded = compressed.withColumn("__t", F.explode(F.col(BLOCK)))
     val rows = exploded.select(
@@ -80,6 +86,8 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
     * given numeric value attributes, aggregated per key — Zidian uses
     * these to answer aggregate queries grouped by the block key without
     * touching the tuples.
+    *
+    * Library code: no query path uses per-block statistics yet.
     */
   def blockStats(numericValueAttrs: Seq[String]): DataFrame = {
     require(numericValueAttrs.forall(schema.value.contains),
@@ -97,7 +105,8 @@ object KVInstance {
 
   /** Map a relation onto `~R⟨X,Y⟩`: project on XY, then group by X (§4.1).
     * `maxBlockSize` splits blocks larger than the threshold into segments
-    * with the same key (§8.2).
+    * with the same key (§8.2). Library code: no workload or query path
+    * splits blocks yet.
     */
   def fromRelation(df: DataFrame, schema: KVSchema, maxBlockSize: Option[Int] = None): KVInstance = {
     require(schema.value.nonEmpty, s"KV instance ${schema.name} needs value attributes")
@@ -116,7 +125,7 @@ object KVInstance {
     new KVInstance(schema, grouped)
   }
 
-  private[kv] def ofBlocked(schema: KVSchema, blocked: DataFrame): KVInstance =
+  private[repro] def ofBlocked(schema: KVSchema, blocked: DataFrame): KVInstance =
     new KVInstance(schema, blocked)
 }
 
@@ -165,7 +174,9 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
 
 object BaaVStore {
 
-  /** Map a database `D` onto `~R` (§4.1), materializing every instance. */
+  /** Map a database `D` onto `~R` (§4.1), materializing every instance.
+    * `maxBlockSize` is library code (see [[KVInstance.fromRelation]]).
+    */
   def build(
       schema: BaaVSchema,
       data: Map[String, DataFrame],

@@ -14,30 +14,32 @@ package repro.kv
   *                       shipped up);
   *  - `kvScans`/`taavScans` — full-instance scans (zero for scan-free
   *                       plans, Proposition 7).
+  *
+  * An immutable value: each storage access returns its own cost, and a
+  * query's cost is their sum under `+`.
   */
-final class KVMetrics {
-  var gets: Long = 0L
-  var valuesAccessed: Long = 0L
-  var commCells: Long = 0L
-  var kvScans: Long = 0L
-  var taavScans: Long = 0L
-
+final case class KVMetrics(
+    gets: Long = 0L,
+    valuesAccessed: Long = 0L,
+    commCells: Long = 0L,
+    kvScans: Long = 0L,
+    taavScans: Long = 0L,
+) {
   def scans: Long = kvScans + taavScans
 
   /** Communication volume, assuming 8 bytes per cell. */
   def commMB: Double = commCells * 8.0 / 1e6
 
-  def addGets(n: Long): Unit = gets += n
-  def addValues(n: Long): Unit = valuesAccessed += n
-  def addComm(n: Long): Unit = commCells += n
-
-  def copyInto(other: KVMetrics): Unit = {
-    other.gets += gets; other.valuesAccessed += valuesAccessed
-    other.commCells += commCells; other.kvScans += kvScans; other.taavScans += taavScans
-  }
+  def +(o: KVMetrics): KVMetrics =
+    KVMetrics(gets + o.gets, valuesAccessed + o.valuesAccessed, commCells + o.commCells,
+              kvScans + o.kvScans, taavScans + o.taavScans)
 
   override def toString: String =
     f"gets=$gets%d #data=$valuesAccessed%d comm=$commMB%.2fMB scans=$scans%d"
+}
+
+object KVMetrics {
+  val zero: KVMetrics = KVMetrics()
 }
 
 /** Cost model of one KV backend of the SQL-over-NoSQL stack.

@@ -19,25 +19,13 @@ final class TaaVStore(val cat: Catalog, val relations: Map[String, DataFrame]) {
   /** Cells (tuples × attributes) of a relation. */
   def cells(name: String): Long = rowCount(name) * cat(name).attrs.size
 
-  /** Scan a full relation, recording gets/values/comm (§3: "we have to
-    * blindly scan a table by incurring as many get's as the size of the
-    * table").
+  /** Scan a full relation; returns it with the cost of the scan (§3: "we
+    * have to blindly scan a table by incurring as many get's as the size
+    * of the table").
     */
-  def scan(name: String, m: KVMetrics): DataFrame = {
-    val rows = rowCount(name)
-    m.addGets(rows)
-    m.addValues(cells(name))
-    m.addComm(cells(name))
-    m.taavScans += 1
-    relation(name)
-  }
-
-  /** Point access by primary key — used by the KV-workload bench (Exp-4). */
-  def get(name: String, m: KVMetrics): Unit = {
-    m.addGets(1)
-    m.addValues(cat(name).attrs.size)
-    m.addComm(cat(name).attrs.size)
-  }
+  def scan(name: String): (DataFrame, KVMetrics) =
+    (relation(name), KVMetrics(gets = rowCount(name), valuesAccessed = cells(name),
+                               commCells = cells(name), taavScans = 1))
 }
 
 object TaaVStore {

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.{LongType, StringType}
 import repro.{SparkSpec, TestSchemas}
 import repro.TestSchemas._
 import repro.core.model._
@@ -120,6 +121,18 @@ class ExecutorSpec extends SparkSpec {
     val (df, exec) = runPlan(PlanGen.plan(q, r1, cat))
     assert(df.count() == 0)
     assert(exec.metrics.gets == 1) // only the ATLANTIS lookup
+  }
+
+  test("frames are memoized per query, not per query name") {
+    // X.suppkey is a LONG in SUPPLIER and a STRING in SUPPLIER_CODE.
+    val kat = Catalog(cat.relations :+
+      RelSchema("SUPPLIER_CODE", Seq("suppkey" -> ColType.StringT), pk = Seq("suppkey")))
+    val exec = new Executor(s, kat, baav, taav)
+    val bind = KConst(Seq(Attr("X", "suppkey") -> "10"))
+    def q(rel: String) = Query("same", Seq(RelAtom(rel, "X")), Nil, Seq(Attr("X", "suppkey") -> "k"))
+    def typeOf(rel: String) = exec.frame(bind, q(rel)).schema("X__suppkey").dataType
+    assert(typeOf("SUPPLIER") == LongType)
+    assert(typeOf("SUPPLIER_CODE") == StringType)
   }
 
   test("shared chase prefixes execute once (memoization)") {

@@ -1,95 +1,82 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row, functions => F}
 import org.scalacheck.Gen
-import repro.{PropHelpers, SparkSpec}
-import repro.core.algebra.{Kba, RefKba}
-import repro.core.model.KVSchema
-import repro.kv.KVInstance
+import repro.{Oracle, PropHelpers, SparkSpec}
+import repro.core.algebra.RefKba
+import repro.core.model._
+import repro.core.planner._
+import repro.core.query.{Query, RelAtom}
+import repro.kv.{BaaVStore, KVInstance, TaaVStore}
 
-/** The Spark KBA operators agree with the executable reference semantics. */
+/** The executor's Spark KBA operators (extension and join over KV-instance
+  * scans) agree with the executable reference semantics on generated rows.
+  */
 class KbaSparkSpec extends SparkSpec with PropHelpers {
   private lazy val s = spark
 
-  private def toDf(rows: Seq[Map[String, String]], cols: Seq[String]) = {
+  private val ab = Seq("A", "B")
+  private val bc = Seq("B", "C")
+  private val kvL = KVSchema("~L", "L", Seq("A"), Seq("B"))
+  private val kvR = KVSchema("~R", "R", Seq("B"), Seq("C"))
+  private val cat = Catalog(Seq(
+    RelSchema("L", ab.map(_ -> ColType.StringT), pk = Nil),
+    RelSchema("R", bc.map(_ -> ColType.StringT), pk = Nil)))
+  // The plans below bind no constants, so the query only keys the memo.
+  private val q = Query("kba", Seq(RelAtom("L", "L"), RelAtom("R", "R")), Nil, Nil)
+
+  private def toDf(rows: Seq[Map[String, String]], cols: Seq[String]): DataFrame = {
     import s.implicits._
-    rows.map(r => cols.map(r)).map {
-      case Seq(x, y)    => (x, y, "")
-      case Seq(x, y, z) => (x, y, z)
-    }.toDF(cols.padTo(3, "__pad"): _*).select(cols.head, cols.tail: _*)
+    rows.map(r => (r(cols(0)), r(cols(1)))).toDF(cols: _*)
   }
 
-  private def inst(rows: Seq[Map[String, String]], key: Seq[String], value: Seq[String]) = {
-    val cols = key ++ value
-    KVInstance.fromRelation(toDf(rows, cols), KVSchema(s"t_${cols.mkString}", "__t", key, value))
+  private def inst(rows: Seq[Map[String, String]], kv: KVSchema): KVInstance =
+    KVInstance.fromRelation(toDf(rows, kv.attrs), kv)
+
+  /** Run `plan` over stores holding `l` as `~L⟨A,B⟩` and `r` as `~R⟨B,C⟩`,
+    * and canonicalize its columns `L.A`, `L.B`, `R.C` as `A`, `B`, `C`.
+    */
+  private def execute(plan: KPlan, l: Seq[Map[String, String]],
+                      r: Seq[Map[String, String]]): Seq[Seq[String]] = {
+    val baav = new BaaVStore(BaaVSchema(Seq(kvL, kvR)),
+                             Map(kvL.name -> inst(l, kvL), kvR.name -> inst(r, kvR)))
+    val exec = new Executor(s, cat, baav, new TaaVStore(cat, Map.empty))
+    val out = Seq(Attr("L", "A"), Attr("L", "B"), Attr("R", "C"))
+    try Oracle.canon(exec.frame(plan, q).select(out.map(a => F.col(a.field).as(a.col)): _*))
+    finally exec.cleanup()
   }
 
-  private def canonDf(df: org.apache.spark.sql.DataFrame): Seq[String] = {
-    val cols = df.columns.sorted.toSeq
-    df.select(cols.head, cols.tail: _*).collect().toSeq
-      .map(_.toSeq.map(String.valueOf).mkString(",")).sorted
-  }
-  private def canonRef(rows: Seq[Map[String, String]]): Seq[String] =
-    rows.map(r => r.toSeq.sortBy(_._1).map(_._2).mkString(",")).sorted
+  private def canonRef(d: RefKba.Inst): Seq[Seq[String]] =
+    Oracle.canon(d.flatten.map(row => Row.fromSeq(d.attrs.map(row))), d.attrs)
 
   private val smallVal: Gen[String] = Gen.chooseNum(1, 3).map(_.toString)
   private def rowsGen(cols: Seq[String]): Gen[Seq[Map[String, String]]] =
     for {
-      k  <- Gen.chooseNum(1, 8)
+      k  <- Gen.chooseNum(0, 8)
       rs <- Gen.listOfN(k, Gen.listOfN(cols.size, smallVal).map(vs => cols.zip(vs).toMap))
     } yield rs
 
-  private val ab = Seq("A", "B")
-  private val bc = Seq("B", "C")
-
   test("Spark extension matches the reference semantics") {
+    val plan = KExtend(KScanKV("L", kvL), "R", kvR, Seq("B" -> FromAttr(Attr("L", "B"))))
     forAllN2(rowsGen(ab), rowsGen(bc), n = 4) { (l, r) =>
-      val sp = Kba.extend(inst(l, Seq("A"), Seq("B")), inst(r, Seq("B"), Seq("C")))
       val rf = RefKba.extend(RefKba.fromRows(l, Seq("A"), Seq("B")),
                              RefKba.fromRows(r, Seq("B"), Seq("C")))
-      assert(canonDf(sp.flatten) == canonRef(rf.flatten))
-    }
-  }
-
-  test("Spark shift matches the reference semantics") {
-    forAllN(rowsGen(ab), n = 4) { l =>
-      val sp = Kba.shift(inst(l, Seq("A"), Seq("B")), Seq("B"))
-      val rf = RefKba.shift(RefKba.fromRows(l, Seq("A"), Seq("B")), Seq("B"))
-      assert(canonDf(sp.flatten) == canonRef(rf.flatten))
-      assert(sp.schema.key == Seq("B"))
+      assert(execute(plan, l, r) == canonRef(rf))
     }
   }
 
   test("Spark join matches the reference semantics") {
+    val plan = KJoin(KScanKV("L", kvL), KScanKV("R", kvR), Seq(Attr("L", "B") -> Attr("R", "B")))
     forAllN2(rowsGen(ab), rowsGen(bc), n = 4) { (l, r) =>
-      val sp = Kba.join(inst(l, Seq("A"), Seq("B")), inst(r, Seq("B"), Seq("C")), Seq("B"))
       val rf = RefKba.join(RefKba.fromRows(l, Seq("A"), Seq("B")),
                            RefKba.fromRows(r, Seq("B"), Seq("C")), Seq("B"))
-      assert(canonDf(sp.flatten) == canonRef(rf.flatten))
-    }
-  }
-
-  test("Spark union matches the reference semantics") {
-    forAllN2(rowsGen(ab), rowsGen(ab), n = 4) { (l, r) =>
-      val sp = Kba.union(inst(l, Seq("A"), Seq("B")), inst(r, Seq("B"), Seq("A")))
-      val rf = RefKba.union(RefKba.fromRows(l, Seq("A"), Seq("B")),
-                            RefKba.fromRows(r, Seq("B"), Seq("A")))
-      assert(canonDf(sp.flatten) == canonRef(rf.flatten))
-    }
-  }
-
-  test("Spark diff matches the reference semantics") {
-    forAllN2(rowsGen(ab), rowsGen(ab), n = 4) { (l, r) =>
-      val sp = Kba.diff(inst(l, Seq("A"), Seq("B")), inst(r, Seq("B"), Seq("A")))
-      val rf = RefKba.diff(RefKba.fromRows(l, Seq("A"), Seq("B")),
-                           RefKba.fromRows(r, Seq("B"), Seq("A")))
-      assert(canonDf(sp.flatten) == canonRef(rf.flatten))
+      assert(execute(plan, l, r) == canonRef(rf))
     }
   }
 
   test("Spark degree matches the reference degree") {
     forAllN(rowsGen(ab), n = 4) { l =>
-      assert(inst(l, Seq("A"), Seq("B")).degree ==
-             RefKba.fromRows(l, Seq("A"), Seq("B")).degree)
+      assert(inst(l, kvL).degree == RefKba.fromRows(l, Seq("A"), Seq("B")).degree)
     }
   }
 }

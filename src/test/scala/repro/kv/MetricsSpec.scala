@@ -4,23 +4,17 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class MetricsSpec extends AnyFunSuite {
 
-  private def metrics(gets: Long, values: Long): KVMetrics = {
-    val m = new KVMetrics
-    m.addGets(gets); m.addValues(values)
-    m
-  }
+  private def metrics(gets: Long, values: Long): KVMetrics =
+    KVMetrics(gets = gets, valuesAccessed = values)
 
   test("commMB assumes 8 bytes per cell") {
-    val m = new KVMetrics
-    m.addComm(1_000_000)
-    assert(m.commMB == 8.0)
+    assert(KVMetrics(commCells = 1_000_000).commMB == 8.0)
   }
 
-  test("copyInto accumulates counters") {
-    val a = metrics(5, 10); a.kvScans = 1
-    val b = metrics(2, 3)
-    a.copyInto(b)
-    assert(b.gets == 7 && b.valuesAccessed == 13 && b.kvScans == 1)
+  test("+ accumulates counters") {
+    val sum = metrics(5, 10).copy(kvScans = 1) + metrics(2, 3)
+    assert(sum.gets == 7 && sum.valuesAccessed == 13 && sum.kvScans == 1)
+    assert(sum + KVMetrics.zero == sum)
   }
 
   test("storageSeconds divides across workers (parallel scalability, Thm 8)") {
@@ -54,9 +48,7 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("scans counts both store kinds") {
-    val m = new KVMetrics
-    m.kvScans = 2; m.taavScans = 3
-    assert(m.scans == 5)
+    assert(KVMetrics(kvScans = 2, taavScans = 3).scans == 5)
   }
 
   test("toString formats a summary") {

@@ -45,10 +45,15 @@ class ZidianSpec extends SparkSpec {
     }
 
     test(s"${ds.name}: Zidian always accesses no more data than the baseline") {
+      val sc = env.spark.sparkContext
       for (wq <- ds.queries) {
+        val cached = sc.getPersistentRDDs.size
         val (b, z) = Harness.runBoth(env, wq)
-        assert(z.values <= b.values, s"${wq.q.name}: ${z.values} > ${b.values}")
-        assert(z.gets <= b.gets, s"${wq.q.name}")
+        assert(sc.getPersistentRDDs.size == cached, s"${wq.q.name} left cached frames behind")
+        val (zm, bm) = (z.metrics, b.metrics)
+        assert(zm.valuesAccessed <= bm.valuesAccessed,
+               s"${wq.q.name}: ${zm.valuesAccessed} > ${bm.valuesAccessed}")
+        assert(zm.gets <= bm.gets, s"${wq.q.name}")
       }
     }
   }
