@@ -41,7 +41,7 @@ final class Env(
 ) {
   def close(): Unit = {
     taav.relations.values.foreach(_.unpersist())
-    baav.instances.values.foreach(_.blocked.unpersist())
+    baav.unpersist()
   }
 }
 

@@ -13,12 +13,6 @@ object ColType {
   case object DoubleT extends ColType
   case object StringT extends ColType
   case object DateT   extends ColType
-
-  /** True for types whose SUM/MIN/MAX go through DECIMAL(18,2) in SQL. */
-  def isNumeric(t: ColType): Boolean = t match {
-    case LongT | IntT | DoubleT => true
-    case _                      => false
-  }
 }
 
 /** A conventional relation schema `R(Z)` with an optional primary key. */

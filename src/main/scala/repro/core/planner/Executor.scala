@@ -4,18 +4,18 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession, functions => F}
 import org.apache.spark.sql.types.{DataType, DataTypes}
 import repro.core.model.{Attr, Catalog, ColType}
 import repro.core.query._
-import repro.kv.{BaaVStore, KVInstance, KVMetrics, TaaVStore}
+import repro.kv.{BaaVStore, KVMetrics, TaaVStore}
 import scala.collection.mutable
 
 /** Interleaved parallel execution of KBA plans (§7.2, module M3).
   *
   * Frames are DataFrames with alias-qualified columns (`alias__col`).
-  * Extension `∝` re-partitions the frontier's distinct keys, "ships" them
-  * to the storage nodes (counted as comm + one get per key), fetches only
-  * the matching blocks (counted as values), explodes and joins back —
-  * data access and computation are interleaved instead of fetch-all-first.
-  * All of this is ordinary DataFrame code, so Catalyst plans the physical
-  * execution and parallelism follows Spark's partitioning.
+  * Extension `∝` ships the frontier's keys to the KV instance
+  * ([[repro.kv.KVInstance.get]]), which fetches only the matching blocks,
+  * and joins the fetched tuples back — data access and computation are
+  * interleaved instead of fetch-all-first. Every storage access returns its
+  * own cost. All of this is ordinary DataFrame code, so Catalyst plans the
+  * physical execution and parallelism follows Spark's partitioning.
   */
 final class Executor(
     spark: SparkSession,
@@ -30,7 +30,7 @@ final class Executor(
   /** Storage access of every frame computed so far. */
   def metrics: KVMetrics = accessed
 
-  /** Unpersist intermediate caches created by extensions. */
+  /** Unpersist the cached join of every extension. */
   def cleanup(): Unit = {
     cachedFrames.foreach(_.unpersist())
     cachedFrames.clear()
@@ -73,35 +73,20 @@ final class Executor(
 
     case KExtend(input, alias, kv, keyMap) =>
       val in = frame(input, q)
-      // (a) project + distinct the frontier to the key columns and ship it.
-      val keyCols = keyMap.map {
+      val keys = in.select(keyMap.map {
         case (kcol, FromAttr(a))      => F.col(a.field).as(kcol)
         case (kcol, FromConst(v, ta)) => typedLit(q, v, ta).as(kcol)
-      }
-      val keys = in.select(keyCols: _*).distinct().cache()
-      cachedFrames += keys
-      val nKeys = keys.count()
-      // (b) at the storage nodes, retrieve only the needed keyed blocks.
-      val inst = baav(kv.name)
-      val matched = inst.blocked.join(keys, kv.key.toSeq).cache()
-      cachedFrames += matched
-      val counts = matched
-        .agg(F.count(F.lit(1)), F.sum(F.size(F.col(KVInstance.BLOCK)))).head()
-      val segs = counts.getLong(0)
-      val fetchedTuples = if (counts.isNullAt(1)) 0L else counts.getLong(1)
-      val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
-      accessed += KVMetrics(gets = nKeys, valuesAccessed = fetchedCells,
-                            commCells = nKeys * kv.key.size + fetchedCells)
-      // (c) explode into alias-qualified rows and join back to the frontier.
-      val exploded = qualify(KVInstance.ofBlocked(kv, matched).flatten, alias, kv.attrs)
+      }: _*)
+      val (fetched, m, cached) = baav(kv.name).get(keys)
+      cachedFrames += cached
+      accessed += m
       val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
-      joinFrames(in, exploded, joinPairs)
+      joinFrames(in, qualify(fetched, alias, kv.attrs), joinPairs)
 
     case KScanKV(alias, kv) =>
-      val inst = baav(kv.name)
-      accessed += KVMetrics(gets = inst.numBlocks, valuesAccessed = inst.cells,
-                            commCells = inst.cells, kvScans = 1)
-      qualify(inst.flatten, alias, kv.attrs)
+      val (df, m) = baav(kv.name).scan
+      accessed += m
+      qualify(df, alias, kv.attrs)
 
     case KScanRel(alias, rel, cols) =>
       val (df, m) = taav.scan(rel)

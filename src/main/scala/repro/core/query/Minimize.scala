@@ -25,7 +25,6 @@ object Minimize {
     */
   final case class MinResult(query: Query, dropped: Seq[RelAtom]) {
     def atoms: Seq[RelAtom] = query.atoms
-    def aliases: Set[String] = atoms.map(_.alias).toSet
     def xMin(alias: String): Set[Attr] = query.attrsOf(alias)
   }
 

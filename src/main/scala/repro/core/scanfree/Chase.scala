@@ -23,15 +23,11 @@ final case class ChaseStep(id: Int, alias: String, kv: KVSchema, keySources: Seq
   * @param steps     the chasing sequence (rule-(c) applications, in order)
   * @param derivedBy for each non-constant attribute of GET, the source
   *                  supplying its value
-  * @param stepOut   attributes available in the frame produced by a step's
-  *                  plan (its inputs' attributes plus the fetched ones)
   */
 final case class ChaseResult(
     get: Set[Attr],
     steps: Seq[ChaseStep],
     derivedBy: Map[Attr, Source],
-    stepOut: Map[Int, Set[Attr]],
-    cls: AttrClasses,
 ) {
   /** Retrievable columns of one alias. */
   def getCols(alias: String): Set[String] = get.collect { case Attr(`alias`, c) => c }
@@ -54,7 +50,6 @@ object Chase {
     val cls = new AttrClasses(q)
     val get = mutable.Set.empty[Attr]
     val derived = mutable.Map.empty[Attr, Source]
-    val stepOut = mutable.Map.empty[Int, Set[Attr]]
     val steps = mutable.ArrayBuffer.empty[ChaseStep]
     val applied = mutable.Set.empty[(String, String)]
 
@@ -88,18 +83,12 @@ object Chase {
             c -> src
           }
           val id = steps.size
-          val inAttrs: Set[Attr] = sources.flatMap {
-            case (_, StepSrc(sid, a)) => stepOut(sid) + a
-            case (_, ConstSrc(_, _))  => Set.empty[Attr]
-          }.toSet
-          val fetched = kv.attrs.map(c => Attr(at.alias, c)).toSet
           steps += ChaseStep(id, at.alias, kv, sources)
-          stepOut(id) = inAttrs ++ fetched
-          fetched.foreach(a => addAttr(a, StepSrc(id, a)))
+          kv.attrs.map(Attr(at.alias, _)).foreach(a => addAttr(a, StepSrc(id, a)))
           changed = true
         }
       }
     }
-    ChaseResult(get.toSet, steps.toSeq, derived.toMap, stepOut.toMap, cls)
+    ChaseResult(get.toSet, steps.toSeq, derived.toMap)
   }
 }

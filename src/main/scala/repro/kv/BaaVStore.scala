@@ -11,37 +11,64 @@ import repro.core.model.{BaaVSchema, KVSchema}
   * Oversized blocks are split into segments sharing the key (§8.2): rows
   * with the same key values form one *logical* keyed block; `degree` and
   * `numBlocks` are computed over logical blocks.
+  *
+  * Every access ([[scan]], [[get]]) returns its own cost, as
+  * [[TaaVStore.scan]] does.
   */
-final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame) {
+final class KVInstance private[kv] (val schema: KVSchema, private[kv] val blocked: DataFrame) {
   import KVInstance.BLOCK
 
-  /** Number of logical keyed blocks (distinct keys). */
-  lazy val numBlocks: Long =
-    blocked.select(schema.key.map(F.col): _*).distinct().count()
-
-  /** Number of tuples across all blocks. */
-  lazy val numTuples: Long =
-    if (isEmpty) 0L
-    else blocked.agg(F.sum(F.size(F.col(BLOCK)))).head().getLong(0)
-
-  /** deg(~D): maximum logical block size (§4.1). */
-  lazy val degree: Long =
-    if (isEmpty) 0L
-    else blocked
-      .groupBy(schema.key.map(F.col): _*)
+  /** Number of logical keyed blocks, number of tuples, and deg(~D), the
+    * maximum logical block size (§4.1): one aggregate over the logical
+    * blocks, whose segments' sizes are summed.
+    */
+  lazy val (numBlocks: Long, numTuples: Long, degree: Long) = {
+    val sizes = blocked.groupBy(schema.key.map(F.col): _*)
       .agg(F.sum(F.size(F.col(BLOCK))).as("__sz"))
-      .agg(F.max(F.col("__sz"))).head().getLong(0)
-
-  private def isEmpty: Boolean = blocked.isEmpty
+    val r = sizes.agg(F.count(F.lit(1)), F.coalesce(F.sum("__sz"), F.lit(0L)),
+                      F.coalesce(F.max("__sz"), F.lit(0L))).head()
+    (r.getLong(0), r.getLong(1), r.getLong(2))
+  }
 
   /** Total cells stored (key cells once per block + value cells per tuple). */
   lazy val cells: Long = numBlocks * schema.key.size + numTuples * schema.value.size
 
   /** The relational version of the instance (§4.1): flatten every block. */
-  def flatten: DataFrame = {
-    val exploded = blocked.withColumn("__t", F.explode(F.col(BLOCK)))
-    exploded.select(
+  def flatten: DataFrame = rowsOf(blocked)
+
+  /** Key and value columns of every tuple of `df`'s blocks; rows whose
+    * block is NULL yield nothing.
+    */
+  private def rowsOf(df: DataFrame): DataFrame =
+    df.withColumn("__t", F.explode(F.col(BLOCK))).select(
       schema.key.map(F.col) ++ schema.value.map(v => F.col(s"__t.$v").as(v)): _*)
+
+  /** Scan the whole instance: one get per logical block, every cell read
+    * and shipped.
+    */
+  def scan: (DataFrame, KVMetrics) =
+    (flatten, KVMetrics(gets = numBlocks, valuesAccessed = cells, commCells = cells, kvScans = 1))
+
+  /** Point access `get(k)` (§4.1) for every distinct row of `keys` (columns
+    * named as the key), executed as in §7.2: the keys are shipped to the
+    * store and left-joined to the blocks, so only their blocks are read.
+    * The join is cached and one aggregate over it counts its cost:
+    *  - one get per distinct key, NULL and missing keys included;
+    *  - `#data`: the key cells of every fetched segment plus its tuples;
+    *  - comm: the shipped key cells plus `#data`.
+    *
+    * Returns the fetched tuples (key and value columns), the cost, and the
+    * cached join, which the caller must unpersist once the tuples are used.
+    */
+  def get(keys: DataFrame): (DataFrame, KVMetrics, DataFrame) = {
+    val joined = keys.distinct().join(blocked, schema.key, "left").cache()
+    val block = F.col(BLOCK)
+    val r = joined.agg(F.count_distinct(F.struct(schema.key.map(F.col): _*)), F.count(block),
+                       F.coalesce(F.sum(F.when(block.isNotNull, F.size(block))), F.lit(0L))).head()
+    val (nKeys, segs, tuples) = (r.getLong(0), r.getLong(1), r.getLong(2))
+    val data = segs * schema.key.size + tuples * schema.value.size
+    (rowsOf(joined), KVMetrics(gets = nKeys, valuesAccessed = data,
+                               commCells = nKeys * schema.key.size + data), joined)
   }
 
   /** Compression (§8.2): re-encode every block as its distinct value
@@ -101,7 +128,7 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
 }
 
 object KVInstance {
-  val BLOCK = "__block"
+  private[kv] val BLOCK = "__block"
 
   /** Map a relation onto `~R⟨X,Y⟩`: project on XY, then group by X (§4.1).
     * `maxBlockSize` splits blocks larger than the threshold into segments
@@ -124,9 +151,6 @@ object KVInstance {
       .drop("__seg")
     new KVInstance(schema, grouped)
   }
-
-  private[repro] def ofBlocked(schema: KVSchema, blocked: DataFrame): KVInstance =
-    new KVInstance(schema, blocked)
 }
 
 /** A BaaV store `~D` of a BaaV schema `~R` (§4.1): one KV instance per KV
@@ -140,6 +164,9 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
 
   /** deg(~D): maximum degree across instances. */
   def degree: Long = if (instances.isEmpty) 0L else instances.values.map(_.degree).max
+
+  /** Release the cached instances. */
+  def unpersist(): Unit = instances.values.foreach(_.blocked.unpersist())
 
   private def updateInstances(rel: String)(f: KVInstance => KVInstance): BaaVStore = {
     val updated = instances.map {
@@ -157,7 +184,7 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
     val oldAffected = inst.flatten.join(affKeys, s.key)
     val rebuilt = KVInstance.fromRelation(oldAffected.unionByName(proj), s)
     val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-    KVInstance.ofBlocked(s, untouched.unionByName(rebuilt.blocked))
+    new KVInstance(s, untouched.unionByName(rebuilt.blocked))
   }
 
   /** Delete `delta` tuples of relation `rel` (bag difference per block). */
@@ -167,28 +194,23 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
     val affKeys = proj.select(s.key.map(F.col): _*).distinct()
     val remaining = inst.flatten.join(affKeys, s.key).exceptAll(proj)
     val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-    if (remaining.isEmpty) KVInstance.ofBlocked(s, untouched)
-    else KVInstance.ofBlocked(s, untouched.unionByName(KVInstance.fromRelation(remaining, s).blocked))
+    if (remaining.isEmpty) new KVInstance(s, untouched)
+    else new KVInstance(s, untouched.unionByName(KVInstance.fromRelation(remaining, s).blocked))
   }
 }
 
 object BaaVStore {
 
-  /** Map a database `D` onto `~R` (§4.1), materializing every instance.
-    * `maxBlockSize` is library code (see [[KVInstance.fromRelation]]).
+  /** Map a database `D` onto `~R` (§4.1): cache every instance, filled by
+    * the one job that computes its shape (`numBlocks`, `numTuples`,
+    * `degree`).
     */
-  def build(
-      schema: BaaVSchema,
-      data: Map[String, DataFrame],
-      maxBlockSize: Option[Int] = None,
-      materialize: Boolean = true,
-  ): BaaVStore = {
+  def build(schema: BaaVSchema, data: Map[String, DataFrame]): BaaVStore = {
     val insts = schema.kvs.map { kv =>
       val df = data.getOrElse(kv.rel, throw new NoSuchElementException(s"no data for ${kv.rel}"))
-      val inst = KVInstance.fromRelation(df, kv, maxBlockSize)
-      val cached = new KVInstance(kv, inst.blocked.cache())
-      if (materialize) cached.blocked.count()
-      kv.name -> cached
+      val inst = new KVInstance(kv, KVInstance.fromRelation(df, kv).blocked.cache())
+      inst.degree
+      kv.name -> inst
     }.toMap
     new BaaVStore(schema, insts)
   }

@@ -13,7 +13,6 @@ final case class Decision(
     resultPreserving: Boolean,
     scanFree: Boolean,
     bounded: Option[Boolean],
-    report: ScanFree.Report,
 )
 
 /** The evaluated answer plus the plan and storage-access metrics. */
@@ -31,8 +30,7 @@ final case class ZidianAnswer(
   * over the BaaV store (M3), falling back to TaaV scans per alias where
   * the BaaV schema does not cover the query.
   */
-final class Zidian(val cat: Catalog, val schema: BaaVSchema,
-                   val boundedDegree: Long = 64) {
+final class Zidian(val cat: Catalog, val schema: BaaVSchema, val boundedDegree: Long) {
 
   /** M1/M2 static decisions (no store access beyond degrees). */
   def decide(q: Query, store: Option[BaaVStore]): (Decision, ZPlan) = {
@@ -42,7 +40,7 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
     val bounded = store.map { s =>
       plan.scanFree && plan.usedInstances.forall(n => s(n).degree <= boundedDegree)
     }
-    (Decision(rp, plan.scanFree, bounded, report), plan)
+    (Decision(rp, plan.scanFree, bounded), plan)
   }
 
   /** Plan and execute `q` over the stores. Storage-access metrics are

@@ -43,14 +43,6 @@ class ChaseSpec extends AnyFunSuite {
       Seq("suppkey" -> StepSrc(1, a("S", "suppkey"))))
   }
 
-  test("stepOut accumulates frontier attributes along the chain") {
-    val res = Chase.run(q1, r1, cat)
-    assert(res.stepOut(0) == Set(a("N", "name"), a("N", "nationkey")))
-    assert(res.stepOut(2).contains(a("N", "name")))
-    assert(res.stepOut(2).contains(a("S", "suppkey")))
-    assert(res.stepOut(2).contains(a("PS", "supplycost")))
-  }
-
   test("no steps fire without retrievable key attributes") {
     val noConst = q1.copy(preds = q1.preds.filterNot(_.isInstanceOf[EqConst]))
     val res = Chase.run(noConst, r1, cat)

@@ -68,7 +68,7 @@ class BaaVStoreSpec extends SparkSpec {
       "SUPPLIER" -> Seq((10L, 1), (20L, 1), (30L, 2)).toDF("suppkey", "nationkey"),
       "NATION"   -> Seq((1, "GERMANY"), (2, "FRANCE")).toDF("nationkey", "name"),
     )
-    val store = BaaVStore.build(TestSchemas.r1, data, materialize = false)
+    val store = BaaVStore.build(TestSchemas.r1, data)
     assert(store.instances.keySet == Set("~SUPPLIER", "~PARTSUPP", "~NATION"))
     assert(store("~SUPPLIER").degree == 2)
     assert(store.degree == 3)
@@ -77,8 +77,7 @@ class BaaVStoreSpec extends SparkSpec {
   test("insert rebuilds only affected blocks and matches a full rebuild") {
     import s.implicits._
     val data = Map("PARTSUPP" -> partsuppDf)
-    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)),
-                                data, materialize = false)
+    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)), data)
     val delta = Seq((9L, 10L, 11.0, 7), (6L, 40L, 2.5, 2))
       .toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.insert("PARTSUPP", delta)("~PARTSUPP")
@@ -91,8 +90,7 @@ class BaaVStoreSpec extends SparkSpec {
   test("delete removes exactly the delta tuples (bag difference)") {
     import s.implicits._
     val data = Map("PARTSUPP" -> partsuppDf)
-    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)),
-                                data, materialize = false)
+    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)), data)
     val delta = Seq((1L, 10L, 5.0, 3), (5L, 30L, 1.0, 9))
       .toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.delete("PARTSUPP", delta)("~PARTSUPP")
@@ -110,8 +108,7 @@ class BaaVStoreSpec extends SparkSpec {
       "NATION"   -> Seq((1, "GERMANY")).toDF("nationkey", "name"),
     )
     val store = BaaVStore.build(
-      repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp, TestSchemas.kvNation)),
-      data, materialize = false)
+      repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp, TestSchemas.kvNation)), data)
     val delta = Seq((9L, 10L, 11.0, 7)).toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.insert("PARTSUPP", delta)
     assert(updated("~NATION").blocked eq store("~NATION").blocked)
